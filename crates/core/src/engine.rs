@@ -337,8 +337,6 @@ pub struct Flow {
     pub dst: usize,
     /// First-hop link out of `src` (from the northbridge's own routing).
     port: LinkId,
-    /// Node-local offset of the landing window in `dst`'s DRAM.
-    win_off: u64,
     /// Window size in bytes; packet addresses wrap within it.
     window: u64,
     /// Global base address of the window.
@@ -1352,8 +1350,11 @@ pub struct EventEngine {
     flow_dir: Vec<(u32, u32)>,
     /// Commits of all runs, concatenated in shard-index order per run.
     commits_log: Vec<CommitRec>,
-    /// Next free landing-window offset per destination node.
-    win_next: Vec<u64>,
+    /// Per destination node, the global index of the flow owning each
+    /// landing window, in window order: slot `k` is the window at
+    /// node-local offset `WIN_BASE + k * WIN`, and the slot count is the
+    /// next free window.
+    win_flows: Vec<Vec<u32>>,
     dram_per_node: u64,
     procs: usize,
     /// Conservative lookahead: minimum hop latency over cut links.
@@ -1476,7 +1477,7 @@ impl EventEngine {
             },
             flow_dir: Vec::new(),
             commits_log: Vec::new(),
-            win_next: vec![WIN_BASE; n],
+            win_flows: vec![Vec::new(); n],
             dram_per_node: spec.supernode.dram_per_node,
             procs,
             lookahead,
@@ -1608,12 +1609,13 @@ impl EventEngine {
     ) -> usize {
         let spec = platform.spec;
         let gidx = self.flow_dir.len();
-        let win_off = self.win_next[dst];
+        let windows = &mut self.win_flows[dst];
+        let win_off = WIN_BASE + windows.len() as u64 * WIN;
         assert!(
             win_off + WIN <= self.dram_per_node,
             "flow {gidx}: node {dst} is out of landing windows"
         );
-        self.win_next[dst] = win_off + WIN;
+        windows.push(gidx as u32);
         let (s, p) = (dst / self.procs, dst % self.procs);
         let base = spec.node_base(s, p) + win_off;
         let probe = Packet::posted_write(base, Bytes::from_static(&ZERO64));
@@ -1629,7 +1631,6 @@ impl EventEngine {
             src,
             dst,
             port,
-            win_off,
             window: WIN,
             base,
             next: base,
@@ -1756,35 +1757,44 @@ impl EventEngine {
     }
 
     /// Per-flow delivery accounting, attributing commits by landing
-    /// window, in flow-registration order.
+    /// window, in flow-registration order. One pass over the commit log:
+    /// a commit's (node, window slot) names its flow through the window
+    /// table `add_flow` fills; commits below `WIN_BASE` or past the last
+    /// registered window belong to no flow.
     pub fn flow_reports(&self) -> Vec<FlowReport> {
-        self.flow_dir
+        let mut reports: Vec<FlowReport> = self
+            .flow_dir
             .iter()
             .map(|&(sid, lidx)| {
                 let f = &self.shards[sid as usize].flows[lidx as usize];
-                let mut delivered = 0u64;
-                let mut first = SimTime::MAX;
-                let mut last = SimTime::ZERO;
-                for c in &self.commits_log {
-                    if c.node == f.dst && c.offset >= f.win_off && c.offset < f.win_off + f.window {
-                        delivered += c.bytes;
-                        first = first.min(c.visible);
-                        last = last.max(c.visible);
-                    }
-                }
-                if delivered == 0 {
-                    first = SimTime::ZERO;
-                }
                 FlowReport {
                     src: f.src,
                     dst: f.dst,
                     injected_packets: f.injected,
-                    delivered_bytes: delivered,
-                    first_visible: first,
-                    last_visible: last,
+                    delivered_bytes: 0,
+                    first_visible: SimTime::MAX,
+                    last_visible: SimTime::ZERO,
                 }
             })
-            .collect()
+            .collect();
+        for c in &self.commits_log {
+            let Some(rel) = c.offset.checked_sub(WIN_BASE) else {
+                continue;
+            };
+            let Some(&gidx) = self.win_flows[c.node].get((rel / WIN) as usize) else {
+                continue;
+            };
+            let r = &mut reports[gidx as usize];
+            r.delivered_bytes += c.bytes;
+            r.first_visible = r.first_visible.min(c.visible);
+            r.last_visible = r.last_visible.max(c.visible);
+        }
+        for r in &mut reports {
+            if r.delivered_bytes == 0 {
+                r.first_visible = SimTime::ZERO;
+            }
+        }
+        reports
     }
 }
 
@@ -2134,6 +2144,161 @@ mod tests {
             assert_eq!(s / 4, d / 4, "tornado stays in its row");
             assert_eq!(d % 4, (s % 4 + 2) % 4);
         }
+    }
+
+    impl EventEngine {
+        /// The quadratic scan `flow_reports` replaced: every flow tests
+        /// every commit against its landing window. Windows are rebuilt
+        /// from `add_flow`'s allocation rule (per destination, successive
+        /// `WIN` steps from `WIN_BASE`, in registration order), not read
+        /// from the window table under test.
+        fn flow_reports_oracle(&self) -> Vec<FlowReport> {
+            let mut win_next = vec![WIN_BASE; self.win_flows.len()];
+            self.flow_dir
+                .iter()
+                .map(|&(sid, lidx)| {
+                    let f = &self.shards[sid as usize].flows[lidx as usize];
+                    let win_off = win_next[f.dst];
+                    win_next[f.dst] += f.window;
+                    let mut delivered = 0u64;
+                    let mut first = SimTime::MAX;
+                    let mut last = SimTime::ZERO;
+                    for c in &self.commits_log {
+                        if c.node == f.dst && c.offset >= win_off && c.offset < win_off + f.window {
+                            delivered += c.bytes;
+                            first = first.min(c.visible);
+                            last = last.max(c.visible);
+                        }
+                    }
+                    if delivered == 0 {
+                        first = SimTime::ZERO;
+                    }
+                    FlowReport {
+                        src: f.src,
+                        dst: f.dst,
+                        injected_packets: f.injected,
+                        delivered_bytes: delivered,
+                        first_visible: first,
+                        last_visible: last,
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// A booted 4×4 mesh (two processors per supernode) and a fresh
+    /// engine over it on `threads` executive threads.
+    fn booted_mesh_engine(threads: usize) -> (Platform, EventEngine) {
+        use tcc_firmware::topology::SupernodeSpec;
+        let spec = ClusterSpec::new(
+            SupernodeSpec::new(2, 1 << 20),
+            ClusterTopology::Mesh { x: 4, y: 4 },
+        );
+        let mut platform = Platform::assemble(spec, tcc_opteron::UarchParams::shanghai());
+        let _ = tcc_firmware::tcc_boot::boot(&mut platform);
+        for node in &mut platform.nodes {
+            node.quiesce();
+        }
+        let options = EngineOptions {
+            threads,
+            ..EngineOptions::default()
+        };
+        let engine = EventEngine::with_options(&mut platform, DEFAULT_DRAIN, options);
+        (platform, engine)
+    }
+
+    /// Register one flow per pair of `pattern` and run to quiescence.
+    fn run_pattern(
+        platform: &mut Platform,
+        engine: &mut EventEngine,
+        pattern: TrafficPattern,
+        bytes: u64,
+    ) {
+        for (src, dst) in pattern_pairs(&platform.spec, pattern) {
+            engine.add_flow(platform, src, dst, bytes);
+        }
+        engine.run_quiescent(platform);
+        engine.assert_quiescent_credits();
+    }
+
+    #[test]
+    fn flow_reports_match_the_quadratic_oracle_on_every_pattern() {
+        let patterns = [
+            TrafficPattern::AllToAll,
+            TrafficPattern::Hotspot { target: 5 },
+            TrafficPattern::Halo,
+            TrafficPattern::Transpose,
+            TrafficPattern::Tornado,
+            TrafficPattern::Single { src: 0, dst: 15 },
+        ];
+        for pattern in patterns {
+            for threads in [1, 2] {
+                let (mut platform, mut engine) = booted_mesh_engine(threads);
+                // 70 packets: more than one 64-packet window's worth, so
+                // addresses wrap inside each window.
+                run_pattern(&mut platform, &mut engine, pattern, 70 * 64);
+                let reports = engine.flow_reports();
+                assert!(
+                    reports.iter().all(|r| r.delivered_bytes == 70 * 64),
+                    "{pattern:?} x {threads} threads lost bytes"
+                );
+                assert_eq!(
+                    reports,
+                    engine.flow_reports_oracle(),
+                    "{pattern:?} x {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flow_reports_accumulate_windows_and_commits_across_runs() {
+        let (mut platform, mut engine) = booted_mesh_engine(1);
+        run_pattern(&mut platform, &mut engine, TrafficPattern::Halo, 8 * 64);
+        let first_run = engine.commits().len();
+        // The second run lands in fresh windows on the same destinations.
+        run_pattern(
+            &mut platform,
+            &mut engine,
+            TrafficPattern::Hotspot { target: 0 },
+            16 * 64,
+        );
+        assert!(engine.commits().len() > first_run);
+        let reports = engine.flow_reports();
+        let halo = pattern_pairs(&platform.spec, TrafficPattern::Halo).len();
+        assert!(reports[..halo].iter().all(|r| r.delivered_bytes == 8 * 64));
+        assert!(reports[halo..].iter().all(|r| r.delivered_bytes == 16 * 64));
+        assert_eq!(reports, engine.flow_reports_oracle());
+    }
+
+    #[test]
+    fn flow_reports_ignore_commits_outside_registered_windows() {
+        let (mut platform, mut engine) = booted_mesh_engine(1);
+        let spec = platform.spec;
+        let (src, dst) = (spec.proc_index(0, 0), spec.proc_index(3, 0));
+        engine.add_flow(&mut platform, src, dst, 8 * 64);
+        let node_base = spec.node_base(3, 0);
+        // One stray write below the first window, one past the last
+        // registered window of the same destination.
+        for off in [WIN_BASE - WIN, WIN_BASE + 4 * WIN] {
+            let packet = Packet::posted_write(node_base + off, Bytes::from_static(&ZERO64));
+            let link = match platform.nodes[src].nb.dispose(&packet, Source::Core) {
+                Ok(Disposition::Forward { link }) => link,
+                other => panic!("stray write does not leave node {src}: {other:?}"),
+            };
+            engine.inject_at(src, link, packet, SimTime::ZERO);
+        }
+        engine.run_quiescent(&mut platform);
+        engine.assert_quiescent_credits();
+        let strays = engine
+            .commits()
+            .iter()
+            .filter(|c| c.node == dst && (c.offset < WIN_BASE || c.offset >= WIN_BASE + WIN))
+            .count();
+        assert_eq!(strays, 2, "both stray writes must commit");
+        let reports = engine.flow_reports();
+        assert_eq!(reports[0].delivered_bytes, 8 * 64);
+        assert_eq!(reports, engine.flow_reports_oracle());
     }
 
     /// The whole point of the conservative executive: running the two
