@@ -38,13 +38,14 @@
 //! shard's past.
 //!
 //! Determinism: every event carries an [`EventKey`] `(time, shard, seq)`
-//! stamped by the shard that *scheduled* it, each shard pops its queue
-//! in total key order, and sequential execution (`threads = 1`) runs the
-//! *same* epoch algorithm — so results are bit-identical for any thread
-//! count. DRAM commits are concatenated in shard-index order after each
-//! run, and monitor callbacks are recorded per shard and replayed in
-//! merged global key order (see `replay_monitors`), which is likewise
-//! thread-count-invariant.
+//! stamped by the shard that *scheduled* it, and each shard pops its
+//! queue in total key order under both executives — the epoch algorithm
+//! for `threads >= 2` and the merged sequential executive for
+//! `threads = 1` (`run_sequential`) — so results are bit-identical for
+//! any thread count. DRAM commits are concatenated in shard-index order
+//! after each run, and monitor callbacks are recorded per shard and
+//! replayed in merged global key order (see `replay_monitors`), which is
+//! likewise thread-count-invariant.
 //!
 //! The two engines are pinned to each other by cross-validation: on a
 //! single flow their goodput must agree within a few percent (see
@@ -62,8 +63,8 @@
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-use tcc_fabric::event::{EventKey, EventQueue, QueueBackend};
+use std::sync::Barrier;
+use tcc_fabric::event::{EventKey, EventQueue};
 use tcc_fabric::time::{Duration, SimTime};
 use tcc_firmware::machine::{PacketEvent, Platform};
 use tcc_firmware::topology::{ClusterSpec, ClusterTopology, Port};
@@ -86,32 +87,6 @@ pub enum EngineKind {
     EventDriven,
 }
 
-/// How cross-shard events move between PDES workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MailboxKind {
-    /// Epoch-batched SPSC [`BatchRing`]s, one per (sender → receiver)
-    /// shard pair with a cut wire: senders stage events locally and
-    /// publish the whole batch once per epoch — no per-event locking.
-    #[default]
-    Ring,
-    /// The original per-receiver `Mutex<Vec>` mailbox, locked per event.
-    /// Kept as the differential-testing reference for the ring path.
-    Mutex,
-}
-
-impl MailboxKind {
-    /// Every mailbox kind, for differential tests and benches.
-    pub const ALL: [MailboxKind; 2] = [MailboxKind::Ring, MailboxKind::Mutex];
-
-    /// Short stable name (bench JSON keys, test labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            MailboxKind::Ring => "ring",
-            MailboxKind::Mutex => "mutex",
-        }
-    }
-}
-
 /// Tuning knobs for the event engine's executive.
 ///
 /// No `PartialEq`: the profile clock is a function pointer, and function
@@ -120,16 +95,11 @@ impl MailboxKind {
 pub struct EngineOptions {
     /// Worker threads for the sharded conservative-PDES executive. One
     /// shard per supernode; threads beyond the shard count are clamped.
-    /// `1` runs the same epoch algorithm inline (no spawn, no barriers)
-    /// and is the zero-allocation reference path.
+    /// `1` runs the merged sequential executive (`run_sequential`: no
+    /// spawn, no barriers, no mailboxes) and is the zero-allocation
+    /// reference path; `>= 2` runs the epoch algorithm on scoped workers
+    /// exchanging cross-shard events through batch rings.
     pub threads: usize,
-    /// Event-queue backend per shard (population-adaptive by default:
-    /// ladder while small, calendar when large; the pure backends are
-    /// kept for differential testing and A/B timing).
-    pub backend: QueueBackend,
-    /// Cross-shard mailbox implementation (batched SPSC rings by
-    /// default; the mutex mailbox is kept for differential testing).
-    pub mailbox: MailboxKind,
     /// Monotonic nanosecond clock for per-stage attribution
     /// ([`EventEngine::stage_profile`]). `None` (the default) runs the
     /// unconditional hot loop with zero instrumentation; benches inject
@@ -137,24 +107,13 @@ pub struct EngineOptions {
     /// of any wall clock by this crate — so the engine itself stays free
     /// of nondeterminism sources.
     pub profile_clock: Option<fn() -> u64>,
-    /// Use the flat-wire fast lane for 64 B posted-write arrivals: route
-    /// and credit class precomputed per address range at engine-build
-    /// time ([`Northbridge::flat_table`](tcc_opteron::nb)), straight-line
-    /// accept → deliver with no command dispatch. `false` forces every
-    /// packet down the general path — the differential-testing reference
-    /// the determinism suite diffs against. Results are bit-identical
-    /// either way.
-    pub flat_lane: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             threads: 1,
-            backend: QueueBackend::default(),
-            mailbox: MailboxKind::default(),
             profile_clock: None,
-            flat_lane: true,
         }
     }
 }
@@ -365,8 +324,9 @@ struct MonRec {
 
 /// Everything one supernode's slice of the fabric owns: its ports, its
 /// flows, its receive-bridge drain clocks and its event queue. Shards
-/// share nothing; cross-shard traffic moves only through [`Inbox`]es at
-/// epoch boundaries.
+/// share nothing; cross-shard traffic moves only through the staging
+/// [`outbox`](Shard::outbox) and, under the epoch executive, the
+/// [`Mailboxes`] rings at epoch boundaries.
 #[derive(Debug)]
 struct Shard {
     /// Shard index == supernode index; also the `src` stamp of every
@@ -396,11 +356,13 @@ struct Shard {
     /// Monitor records of this run (empty unless a monitor is mounted).
     monlog: Vec<MonRec>,
     /// Double-buffer for mailbox drains; capacity ping-pongs with the
-    /// mailbox Vecs so the steady state allocates nothing.
+    /// ring batches so the steady state allocates nothing.
     inscratch: Vec<(EventKey, FabricEvent)>,
-    /// Ring-mailbox staging, indexed by destination shard: cross-shard
-    /// sends accumulate here during an epoch and publish in one batch at
-    /// the barrier. Only `out_peers` entries are ever non-empty.
+    /// Cross-shard staging, indexed by destination shard: sends
+    /// accumulate here and leave in one batch — published into the pair
+    /// ring at the epoch barrier, or moved straight into the peer queue
+    /// by the sequential executive. Only `out_peers` entries are ever
+    /// non-empty.
     outbox: Vec<Vec<(EventKey, FabricEvent)>>,
     /// Destination shards this shard has cut wires *to*, ascending.
     out_peers: Vec<u32>,
@@ -411,28 +373,18 @@ struct Shard {
     profile: StageProfile,
 }
 
-/// A shard's per-epoch mailbox: events other shards scheduled into it,
-/// applied at the next epoch barrier. The mutex is uncontended in the
-/// inline path and epoch-bounded in the threaded path; push order is
-/// irrelevant because delivery order is decided by the event keys.
-#[derive(Debug)]
-struct Inbox(Mutex<Vec<(EventKey, FabricEvent)>>);
-
-/// The cross-shard transport, in both flavours. The ring fabric is the
-/// default: `rings[src][dst]` exists iff some wire crosses from shard
-/// `src` to shard `dst`, and carries at most one batch per epoch
-/// (published before the epoch barrier, taken after it, with the barrier
-/// providing the happens-before edge). The mutex mailboxes are the
-/// reference implementation the determinism suite diffs against; they
-/// are always allocated (one lock per shard is negligible) so a single
-/// engine can be rebuilt onto either path.
 /// One epoch batch in flight from one shard to another.
 type EventRing = BatchRing<(EventKey, FabricEvent)>;
 
+/// The cross-shard transport of the epoch executive: `rings[src][dst]`
+/// exists iff some wire crosses from shard `src` to shard `dst`, and
+/// carries at most one batch per epoch (published before the epoch
+/// barrier, taken after it, with the barrier providing the
+/// happens-before edge). Push order inside a batch is irrelevant:
+/// delivery order is decided by the event keys. The sequential executive
+/// never touches the rings after boot.
 #[derive(Debug)]
 struct Mailboxes {
-    kind: MailboxKind,
-    inboxes: Vec<Inbox>,
     rings: Vec<Vec<Option<EventRing>>>,
 }
 
@@ -450,15 +402,9 @@ struct ShardRun<'a> {
     /// so the per-delivery routing in `send_arrive` never divides.
     shard_of: &'a [u32],
     drain: Duration,
-    /// Record monitor callbacks for post-run replay.
+    /// Record monitor callbacks for post-run replay. Recording runs also
+    /// skip the flat fast lane, so monitors observe the general path.
     record: bool,
-    /// Use the flat fast lane for 64 B posted-write arrivals. Forced off
-    /// while recording so monitors always observe the general path.
-    flat_lane: bool,
-    /// Sequential-executive mode: cross-shard sends always go to the
-    /// staging buffers (the executive moves them straight into the peer
-    /// queue after each batch), regardless of the mailbox kind.
-    direct: bool,
     /// Injected nanosecond clock for stage attribution, `None` on
     /// unprofiled (hot) runs.
     clock: Option<fn() -> u64>,
@@ -500,12 +446,12 @@ impl ShardRun<'_> {
     }
 
     /// Route an `Arrive` to whichever shard owns the receiving node:
-    /// locally into our own queue, or toward the peer shard (applied at
-    /// the next epoch barrier — sound because the arrival is at least
-    /// one lookahead past the current horizon's base). On the ring path
-    /// a cross-shard send is a plain push onto this shard's private
-    /// staging buffer — no lock, no atomic; the whole buffer publishes
-    /// once at the epoch barrier (`publish_outboxes`).
+    /// locally into our own queue, or toward the peer shard (sound
+    /// because the arrival is at least one lookahead past the current
+    /// horizon's base). A cross-shard send is a plain push onto this
+    /// shard's private staging buffer — no lock, no atomic; the whole
+    /// buffer leaves in one batch (`publish_outboxes` at the epoch
+    /// barrier, or the sequential executive's direct handoff).
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     fn send_arrive(&mut self, at: SimTime, node: usize, link: LinkId, packet: Packet) {
         let dst = self.shard_of[node] as usize;
@@ -519,25 +465,7 @@ impl ShardRun<'_> {
             seq: self.shard.seq,
         };
         self.shard.seq += 1;
-        let ev = FabricEvent::Arrive { node, link, packet };
-        if self.direct {
-            // Sequential executive: the driver moves the staging buffer
-            // straight into the peer queue after this batch.
-            self.shard.outbox[dst].push((key, ev));
-            return;
-        }
-        match self.mail.kind {
-            MailboxKind::Ring => self.shard.outbox[dst].push((key, ev)),
-            // A poisoned inbox means a peer worker panicked; its mail is
-            // still intact, and the run is aborting anyway — keep going
-            // so this worker reaches the barrier instead of double-
-            // panicking the process.
-            MailboxKind::Mutex => self.mail.inboxes[dst]
-                .0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push((key, ev)),
-        }
+        self.shard.outbox[dst].push((key, FabricEvent::Arrive { node, link, packet }));
     }
 
     /// Publish every non-empty staging buffer into its pair ring — once
@@ -549,9 +477,6 @@ impl ShardRun<'_> {
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(batch), tcc_transfer_ok)]
     fn publish_outboxes(&mut self) {
-        if self.mail.kind != MailboxKind::Ring {
-            return;
-        }
         let src = self.shard.id as usize;
         for i in 0..self.shard.out_peers.len() {
             let dst = self.shard.out_peers[i] as usize;
@@ -566,38 +491,20 @@ impl ShardRun<'_> {
     }
 
     /// Apply every event other shards mailed us since the last barrier:
-    /// take each in-peer's published batch (ring path) or swap out the
-    /// shared inbox (mutex path). Both paths recycle the shard's scratch
-    /// buffer, so the steady state moves events without allocating.
+    /// take each in-peer's published batch. The taken batch swaps with
+    /// the shard's scratch buffer, so the steady state moves events
+    /// without allocating.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(batch))]
     fn drain_mail(&mut self) {
         let mut scratch = std::mem::take(&mut self.shard.inscratch);
-        match self.mail.kind {
-            MailboxKind::Ring => {
-                let me = self.shard.id as usize;
-                for i in 0..self.shard.in_peers.len() {
-                    let src = self.shard.in_peers[i] as usize;
-                    let Some(ring) = self.mail.rings[src][me].as_ref() else {
-                        protocol_violation!("shard {src} -> {me}: in_peer entry without a ring");
-                    };
-                    while ring.take(&mut scratch) {
-                        for (key, ev) in scratch.drain(..) {
-                            self.shard.queue.schedule_keyed(key, ev);
-                        }
-                    }
-                }
-            }
-            MailboxKind::Mutex => {
-                {
-                    // See send_arrive: survive a peer's poison so the
-                    // abort path reaches the barrier.
-                    let mut inbox = self.mail.inboxes[self.shard.id as usize]
-                        .0
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    std::mem::swap(&mut *inbox, &mut scratch);
-                }
+        let me = self.shard.id as usize;
+        for i in 0..self.shard.in_peers.len() {
+            let src = self.shard.in_peers[i] as usize;
+            let Some(ring) = self.mail.rings[src][me].as_ref() else {
+                protocol_violation!("shard {src} -> {me}: in_peer entry without a ring");
+            };
+            while ring.take(&mut scratch) {
                 for (key, ev) in scratch.drain(..) {
                     self.shard.queue.schedule_keyed(key, ev);
                 }
@@ -878,9 +785,9 @@ impl ShardRun<'_> {
         // disposition was precomputed per address range at engine build.
         // Classify, one table scan, straight-line accept → deliver — no
         // command dispatch, no northbridge walk. Bit-identical effects
-        // to the general path below (the determinism suite forces the
-        // lane off and diffs).
-        if self.flat_lane {
+        // to the general path below, which monitor-recording runs take
+        // (the determinism suite diffs the two).
+        if !self.record {
             if let Some(addr) = packet.flat_addr() {
                 if let Some(plan) = self.flat[ln].lookup(addr) {
                     let t_route = self.tick::<PROF>();
@@ -1210,17 +1117,17 @@ fn pair_mut<'r, 'a>(
 /// cross-shard influence is impossible below the horizon; the
 /// interleaving *across* shards differs, but no event can observe it.
 ///
-/// Cross-shard sends skip the mailbox machinery entirely: the runs are
-/// built in `direct` mode, so sends stage in the per-destination
-/// buffers and the executive moves each batch straight into the peer's
-/// queue — no rings, no locks, no publish/take handshake.
+/// Cross-shard sends skip the mailbox machinery entirely: they stage in
+/// the per-destination outboxes and the executive moves each batch
+/// straight into the peer's queue — no rings, no publish/take
+/// handshake.
 #[cfg_attr(lint, tcc_no_panic)]
 fn run_sequential(runs: &mut [ShardRun<'_>], lookahead: Duration) -> bool {
     let n = runs.len();
     let mut mins = vec![u64::MAX; n];
     for (i, run) in runs.iter_mut().enumerate() {
-        // Boot-time mail only: with `direct` sends nothing touches a
-        // mailbox after this point.
+        // Boot-time mail only: sends stage in outboxes this executive
+        // empties itself, so nothing touches a ring after this point.
         run.drain_mail_timed();
         mins[i] = run.shard.queue.peek_time().map_or(u64::MAX, |t| t.picos());
     }
@@ -1361,11 +1268,9 @@ pub struct EventEngine {
     lookahead: Duration,
     drain: Duration,
     threads: usize,
-    backend: QueueBackend,
     /// Per-node flat dispatch tables, rebuilt at engine construction
     /// (i.e. once per train), indexed like `platform.nodes`.
     flat: Vec<FlatTable>,
-    flat_lane: bool,
     /// Global node index → owning shard id.
     shard_of: Vec<u32>,
     profile_clock: Option<fn() -> u64>,
@@ -1431,7 +1336,7 @@ impl EventEngine {
                 ports,
                 drain_free: vec![SimTime::ZERO; procs],
                 flows: Vec::new(),
-                queue: EventQueue::with_backend(options.backend),
+                queue: EventQueue::new(),
                 seq: 0,
                 now: SimTime::ZERO,
                 events: 0,
@@ -1453,28 +1358,19 @@ impl EventEngine {
                 }
             }
         }
-        let rings = match options.mailbox {
-            MailboxKind::Ring => (0..nshards)
-                .map(|src| {
-                    (0..nshards)
-                        .map(|dst| wired[src][dst].then(BatchRing::new))
-                        .collect()
-                })
-                .collect(),
-            MailboxKind::Mutex => Vec::new(),
-        };
+        let rings = (0..nshards)
+            .map(|src| {
+                (0..nshards)
+                    .map(|dst| wired[src][dst].then(BatchRing::new))
+                    .collect()
+            })
+            .collect();
         // A zero lookahead would make the horizon equal the minimum and
         // process nothing; one picosecond still admits the minimum event.
         let lookahead = Duration(lookahead.picos().max(1));
         EventEngine {
             shards,
-            mail: Mailboxes {
-                kind: options.mailbox,
-                inboxes: (0..nshards)
-                    .map(|_| Inbox(Mutex::new(Vec::new())))
-                    .collect(),
-                rings,
-            },
+            mail: Mailboxes { rings },
             flow_dir: Vec::new(),
             commits_log: Vec::new(),
             win_flows: vec![Vec::new(); n],
@@ -1483,9 +1379,7 @@ impl EventEngine {
             lookahead,
             drain,
             threads: options.threads.max(1),
-            backend: options.backend,
             flat: platform.nodes.iter().map(|n| n.nb.flat_table()).collect(),
-            flat_lane: options.flat_lane,
             shard_of: (0..n).map(|node| (node / procs) as u32).collect(),
             profile_clock: options.profile_clock,
             profile: StageProfile::default(),
@@ -1503,9 +1397,6 @@ impl EventEngine {
     pub fn options(&self) -> EngineOptions {
         EngineOptions {
             threads: self.threads,
-            backend: self.backend,
-            mailbox: self.mail.kind,
-            flat_lane: self.flat_lane,
             profile_clock: self.profile_clock,
         }
     }
@@ -1661,6 +1552,10 @@ impl EventEngine {
     /// this run (`SimTime::ZERO` if nothing landed).
     pub fn run_quiescent(&mut self, platform: &mut Platform) -> SimTime {
         let first_new = self.commits_log.len();
+        // Monitor runs take the general path for every packet so the
+        // recorded stream is exactly what `deliver_routed` handled;
+        // correctness never depends on this (the lanes are bit-identical)
+        // but it keeps the monitors' view trivially canonical.
         let record = platform.has_monitor();
         let procs = self.procs;
         let drain = self.drain;
@@ -1668,11 +1563,6 @@ impl EventEngine {
         let threads = self.threads.min(self.shards.len()).max(1);
         let mail = &self.mail;
         let clock = self.profile_clock;
-        // Monitor runs take the general path for every packet so the
-        // recorded stream is exactly what `deliver_routed` handled;
-        // correctness never depends on this (the lanes are bit-identical)
-        // but it keeps the monitors' view trivially canonical.
-        let flat_lane = self.flat_lane && !record;
         let shard_of = &self.shard_of;
         let mut runs: Vec<ShardRun<'_>> = self
             .shards
@@ -1687,8 +1577,6 @@ impl EventEngine {
                 drain,
                 record,
                 flat,
-                flat_lane,
-                direct: threads == 1,
                 clock,
             })
             .collect();
@@ -1918,7 +1806,7 @@ impl FlowReport {
 ///
 /// Derives `Eq`: two reports are equal iff every counter, timestamp and
 /// per-flow record matches exactly — which is what the determinism suite
-/// asserts across thread counts and queue backends.
+/// asserts across thread counts and traffic patterns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadReport {
     pub flows: Vec<FlowReport>,
@@ -1982,15 +1870,6 @@ fn booted_pair_engine(
     config: tcc_ht::link::LinkConfig,
     drain: Duration,
 ) -> (Platform, EventEngine) {
-    booted_pair_engine_with(config, drain, EngineOptions::default())
-}
-
-/// [`booted_pair_engine`] with explicit executive options.
-fn booted_pair_engine_with(
-    config: tcc_ht::link::LinkConfig,
-    drain: Duration,
-    options: EngineOptions,
-) -> (Platform, EventEngine) {
     use tcc_firmware::topology::SupernodeSpec;
     let spec = ClusterSpec::new(SupernodeSpec::new(1, 1 << 20), ClusterTopology::Pair);
     let mut platform = Platform::assemble(spec, tcc_opteron::UarchParams::shanghai());
@@ -1999,7 +1878,7 @@ fn booted_pair_engine_with(
     for node in &mut platform.nodes {
         node.quiesce();
     }
-    let engine = EventEngine::with_options(&mut platform, drain, options);
+    let engine = EventEngine::new(&mut platform, drain);
     (platform, engine)
 }
 
@@ -2301,19 +2180,15 @@ mod tests {
         assert_eq!(reports, engine.flow_reports_oracle());
     }
 
-    /// The whole point of the conservative executive: running the two
-    /// shards of a pair on two real threads must produce byte-for-byte
-    /// the commits, clock and event count of the inline path — on both
-    /// queue backends.
+    /// The whole point of the conservative executive: running the
+    /// shards on real threads must produce byte-for-byte the commits,
+    /// clock, event count and flow reports of the sequential executive,
+    /// for every traffic pattern and thread count.
     #[test]
     fn threaded_run_is_bit_identical_to_sequential() {
-        let run = |options: EngineOptions| {
-            let (mut platform, mut engine) =
-                booted_pair_engine_with(LinkConfig::PROTOTYPE, DEFAULT_DRAIN, options);
-            engine.add_flow(&mut platform, 0, 1, 300 * 64);
-            engine.add_flow(&mut platform, 1, 0, 300 * 64);
-            engine.run_quiescent(&mut platform);
-            engine.assert_quiescent_credits();
+        let run = |pattern: TrafficPattern, threads: usize| {
+            let (mut platform, mut engine) = booted_mesh_engine(threads);
+            run_pattern(&mut platform, &mut engine, pattern, 12 * 64);
             (
                 engine.commits().to_vec(),
                 engine.now(),
@@ -2321,21 +2196,21 @@ mod tests {
                 engine.flow_reports(),
             )
         };
-        let baseline = run(EngineOptions::default());
-        for backend in QueueBackend::ALL {
-            for mailbox in MailboxKind::ALL {
-                for threads in [1, 2, 4] {
-                    let got = run(EngineOptions {
-                        threads,
-                        backend,
-                        mailbox,
-                        ..EngineOptions::default()
-                    });
-                    assert_eq!(
-                        got, baseline,
-                        "{backend:?} x {mailbox:?} x {threads} threads diverged from sequential"
-                    );
-                }
+        let patterns = [
+            TrafficPattern::AllToAll,
+            TrafficPattern::Hotspot { target: 5 },
+            TrafficPattern::Halo,
+            TrafficPattern::Transpose,
+            TrafficPattern::Tornado,
+        ];
+        for pattern in patterns {
+            let baseline = run(pattern, 1);
+            for threads in [2, 4, 8] {
+                assert_eq!(
+                    run(pattern, threads),
+                    baseline,
+                    "{pattern:?} x {threads} threads diverged from sequential"
+                );
             }
         }
     }

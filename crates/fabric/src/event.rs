@@ -14,51 +14,38 @@
 //!
 //! # Arena-pooled storage
 //!
-//! Event payloads never move through the ordering structures. Every
+//! Event payloads never move through the ordering structure. Every
 //! scheduled event is parked in a slab arena owned by the queue and
-//! addressed by a `u32` handle; the backends order bare
-//! `(EventKey, u32)` pairs — 32 bytes, `Copy`, no drop glue — so a heap
-//! sift or a bucket migration shuffles handles, not payloads. Slots are
-//! recycled through a free list, which keeps the steady state of a
-//! schedule/pop loop allocation-free (the `alloc_regression` suite
-//! counts).
+//! addressed by a `u32` handle; the ladder orders bare `(EventKey, u32)`
+//! pairs — 32 bytes, `Copy`, no drop glue — so a sort or a refill sweep
+//! shuffles handles, not payloads. Slots are recycled through a free
+//! list, which keeps the steady state of a schedule/pop loop
+//! allocation-free (the `alloc_regression` suite counts).
 //!
-//! # Backends
+//! # The ladder
 //!
-//! Four backends implement the same contract. Because pop order is a
-//! pure function of the keys, every backend yields the bit-identical
-//! event sequence — the choice is purely a constant-factor decision.
+//! Handles are ordered by a two-tier ladder queue: a *bottom* tier holds
+//! the imminent events sorted ascending behind a head cursor (dequeue
+//! advances the cursor, O(1)), a *top* tier holds everything past the
+//! bottom's horizon unsorted with an always-valid minimum hint. Inserts
+//! into the bottom are a binary search plus a short shift — and fabric
+//! events are overwhelmingly scheduled *later* than everything pending,
+//! which appends them for free. When the bottom drains, one sweep moves
+//! the next window of top events down and sorts them, with the window
+//! width adapting to the observed event density. `pop_keyed_before` is
+//! O(1) when it refuses: the bottom head / top hint answer without any
+//! scan.
 //!
-//! * [`QueueBackend::Auto`] (the default) — population-adaptive: runs
-//!   the ladder while the queue is small and migrates to the calendar
-//!   when the population sustains above the hold-model crossover
-//!   (~64 pending events), and back when it collapses. Fabric shards
-//!   under the sharded engine stay in the ladder band; coarse
-//!   single-queue users with large populations get the calendar.
-//! * [`QueueBackend::Ladder`] — a two-tier ladder queue:
-//!   a *bottom* tier holds the imminent events sorted ascending behind a
-//!   head cursor (dequeue advances the cursor, O(1)), a *top* tier holds
-//!   everything past the bottom's horizon unsorted with an always-valid
-//!   minimum hint. Inserts into the bottom are a binary search plus a
-//!   short shift — and fabric events are overwhelmingly scheduled *later*
-//!   than everything pending, which appends them for free. When the
-//!   bottom drains, one sweep moves the next window of top events down
-//!   and sorts them, with the window width adapting to the observed
-//!   event density. `pop_keyed_before` is O(1) when it refuses: the
-//!   bottom tail / top hint answer without any scan.
-//! * [`QueueBackend::Calendar`] — a Brown-style calendar queue: events
-//!   hash into `width`-picosecond buckets mod the bucket count, dequeue
-//!   scans the bucket of the current "day" for the minimum key, and the
-//!   structure resizes itself as the population grows or shrinks. Kept
-//!   for differential testing and as the better structure should a
-//!   workload produce very large, uniformly banded populations.
-//! * [`QueueBackend::BinaryHeap`] — the original `BinaryHeap` engine,
-//!   kept as the canonical reference (the determinism suite runs every
-//!   workload on all backends and asserts bit-identical results).
+//! The ladder is the only structure because fabric shard queues stay
+//! small. On the 8×8 all-to-all (4032 flows of 4 KiB) the peak per-shard
+//! population is 76 events at one executive thread and 71 at two, and
+//! only 483 (t1) / 49 (t2) of its 7,960,862 inserts found more than 64
+//! events pending — the band where a calendar queue would start to pay.
+//! Pop order is a pure function of the keys, so the structure is
+//! invisible to results; the test module diffs it against a
+//! `BinaryHeap` oracle under the engine's operation mix.
 
-use crate::time::{Duration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::time::SimTime;
 
 /// Total order on events: time first, then the scheduling source (shard
 /// index in sharded simulations, 0 otherwise), then the source-local
@@ -71,46 +58,6 @@ pub struct EventKey {
     pub src: u32,
     /// Source-local sequence number; unique per `src`.
     pub seq: u64,
-}
-
-/// Which implementation backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Population-adaptive default: runs the ladder while the queue is
-    /// small and migrates to the calendar when the population sustains
-    /// above the band where the ladder's refill sweep stops paying (the
-    /// hold-model crossover), and back on collapse. Pop order is a pure
-    /// function of the keys on every backend, so the migrations are
-    /// invisible to results.
-    #[default]
-    Auto,
-    /// Two-tier ladder queue (O(1) pop, near-O(1) insert for the
-    /// schedule-soon pattern fabric engines produce).
-    Ladder,
-    /// Brown calendar queue (O(1) amortised for banded populations).
-    Calendar,
-    /// Binary heap (O(log n)); the differential-testing reference.
-    BinaryHeap,
-}
-
-impl QueueBackend {
-    /// Every backend, for differential tests and benches.
-    pub const ALL: [QueueBackend; 4] = [
-        QueueBackend::Ladder,
-        QueueBackend::Calendar,
-        QueueBackend::BinaryHeap,
-        QueueBackend::Auto,
-    ];
-
-    /// Short stable name (bench JSON keys, test labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Auto => "auto",
-            QueueBackend::Ladder => "ladder",
-            QueueBackend::Calendar => "calendar",
-            QueueBackend::BinaryHeap => "binary_heap",
-        }
-    }
 }
 
 /// Slab arena of parked event payloads: `u32` handles in, payloads out.
@@ -133,7 +80,7 @@ impl<E> Arena<E> {
     /// Park `event`, returning its handle.
     ///
     /// Deliberate panic (reviewed): handles are u32 by layout contract
-    /// with every backend; 2^32 simultaneously-parked events means the
+    /// with the ladder; 2^32 simultaneously-parked events means the
     /// event budget check has already failed and memory is gone —
     /// truncating the handle instead would silently alias two events.
     #[cfg_attr(lint, tcc_no_alloc, tcc_panic_ok, tcc_acquires(arena_handle))]
@@ -155,7 +102,7 @@ impl<E> Arena<E> {
     /// Reclaim the payload behind `handle`; the slot returns to the free
     /// list.
     ///
-    /// Deliberate panic (reviewed): an empty slot here means a backend
+    /// Deliberate panic (reviewed): an empty slot here means the ladder
     /// double-popped a handle — continuing would replay or drop an event
     /// and silently break bit-determinism, the one guarantee the whole
     /// queue exists to keep.
@@ -169,23 +116,15 @@ impl<E> Arena<E> {
     }
 }
 
-/// A time-ordered queue of events of type `E`, generic over backend.
-/// Payloads live in the queue's [`Arena`]; the backend orders
-/// `(EventKey, u32)` handle pairs.
+/// A time-ordered queue of events of type `E`. Payloads live in the
+/// queue's [`Arena`]; the [`LadderQueue`] orders `(EventKey, u32)`
+/// handle pairs.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     arena: Arena<E>,
-    inner: Inner,
+    ladder: LadderQueue,
     next_seq: u64,
     scheduled_total: u64,
-}
-
-#[derive(Debug)]
-enum Inner {
-    Heap(HeapQueue),
-    Calendar(CalendarQueue),
-    Ladder(LadderQueue),
-    Auto(AutoQueue),
 }
 
 impl<E> Default for EventQueue<E> {
@@ -195,41 +134,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// A queue on the default backend (population-adaptive).
+    /// An empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// A queue on the classic binary-heap backend.
-    #[must_use]
-    pub fn binary_heap() -> Self {
-        Self::with_backend(QueueBackend::BinaryHeap)
-    }
-
-    #[must_use]
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let inner = match backend {
-            QueueBackend::BinaryHeap => Inner::Heap(HeapQueue::new()),
-            QueueBackend::Calendar => Inner::Calendar(CalendarQueue::new()),
-            QueueBackend::Ladder => Inner::Ladder(LadderQueue::new()),
-            QueueBackend::Auto => Inner::Auto(AutoQueue::new()),
-        };
         EventQueue {
             arena: Arena::new(),
-            inner,
+            ladder: LadderQueue::new(),
             next_seq: 0,
             scheduled_total: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.inner {
-            Inner::Heap(_) => QueueBackend::BinaryHeap,
-            Inner::Calendar(_) => QueueBackend::Calendar,
-            Inner::Ladder(_) => QueueBackend::Ladder,
-            Inner::Auto(_) => QueueBackend::Auto,
         }
     }
 
@@ -241,27 +153,17 @@ impl<E> EventQueue<E> {
         self.schedule_keyed(EventKey { at, src: 0, seq }, event);
     }
 
-    /// Schedule `event` to fire `after` past `now`.
-    pub fn schedule_in(&mut self, now: SimTime, after: Duration, event: E) {
-        self.schedule_at(now + after, event);
-    }
-
     /// Schedule `event` under an explicit key. The sharded engine uses
     /// this to stamp events with `(shard, shard-local seq)` so merge
     /// order is deterministic across thread counts. Keys must be unique.
-    // tcc_transfer_ok: the parked handle is owned by the backend until a
+    // tcc_transfer_ok: the parked handle is owned by the ladder until a
     // pop reclaims it through `Arena::take` — held-at-exit is the point.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(arena_handle), tcc_transfer_ok)]
     pub fn schedule_keyed(&mut self, key: EventKey, event: E) {
         self.scheduled_total += 1;
         let h = self.arena.park(event);
-        match &mut self.inner {
-            Inner::Heap(q) => q.push(key, h),
-            Inner::Calendar(q) => q.insert(key, h),
-            Inner::Ladder(q) => q.insert(key, h),
-            Inner::Auto(q) => q.insert(key, h),
-        }
+        self.ladder.insert(key, h);
     }
 
     /// Pop the earliest event, returning its firing time.
@@ -272,56 +174,29 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event together with its full key.
     #[cfg_attr(lint, tcc_linear(arena_handle))]
     pub fn pop_keyed(&mut self) -> Option<(EventKey, E)> {
-        let (key, h) = match &mut self.inner {
-            Inner::Heap(q) => q.pop()?,
-            Inner::Calendar(q) => q.pop()?,
-            Inner::Ladder(q) => q.pop()?,
-            Inner::Auto(q) => q.pop()?,
-        };
+        let (key, h) = self.ladder.pop()?;
         Some((key, self.arena.take(h)))
     }
 
     /// Pop the earliest event only if it fires strictly before `limit` —
-    /// the epoch primitive of the sharded engine. The refusal path is
-    /// O(1) on the ladder and memoised-O(1) on the calendar: when the
-    /// pending minimum already lies at or past the horizon the call
+    /// the epoch primitive of the sharded engine. A refusal is O(1): when
+    /// the pending minimum already lies at or past the horizon the call
     /// returns without scanning anything.
     #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
     #[cfg_attr(lint, tcc_linear(arena_handle))]
     pub fn pop_keyed_before(&mut self, limit: SimTime) -> Option<(EventKey, E)> {
-        let (key, h) = match &mut self.inner {
-            Inner::Heap(q) => {
-                if q.peek_key()?.at >= limit {
-                    return None;
-                }
-                q.pop()?
-            }
-            Inner::Calendar(q) => q.pop_before(limit)?,
-            Inner::Ladder(q) => q.pop_before(limit)?,
-            Inner::Auto(q) => q.pop_before(limit)?,
-        };
+        let (key, h) = self.ladder.pop_before(limit)?;
         Some((key, self.arena.take(h)))
     }
 
-    /// Time of the earliest pending event. Takes `&mut self` so the
-    /// calendar backend can memoise the located minimum; the ladder and
-    /// heap answer from an always-valid hint without any scan.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            Inner::Heap(q) => q.peek_key().map(|k| k.at),
-            Inner::Calendar(q) => q.peek_key().map(|k| k.at),
-            Inner::Ladder(q) => q.peek_key().map(|k| k.at),
-            Inner::Auto(q) => q.peek_key().map(|k| k.at),
-        }
+    /// Time of the earliest pending event, answered from the ladder's
+    /// always-valid minimum without any scan.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.ladder.peek_key().map(|k| k.at)
     }
 
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(q) => q.len(),
-            Inner::Calendar(q) => q.len(),
-            Inner::Ladder(q) => q.len(),
-            Inner::Auto(q) => q.len(),
-        }
+        self.ladder.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -333,39 +208,6 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 }
-
-// ───────────────────────── binary-heap backend ─────────────────────────
-
-#[derive(Debug)]
-struct HeapQueue {
-    heap: BinaryHeap<Reverse<(EventKey, u32)>>,
-}
-
-impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn push(&mut self, key: EventKey, handle: u32) {
-        self.heap.push(Reverse((key, handle)));
-    }
-
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        self.heap.pop().map(|Reverse(kh)| kh)
-    }
-
-    fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse((k, _))| *k)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-// ───────────────────────── ladder backend ──────────────────────────────
 
 /// Two-tier ladder queue over `(EventKey, u32)` handle pairs.
 ///
@@ -383,7 +225,7 @@ impl HeapQueue {
 ///   tracking the minimum key. `top_min` is maintained on insert (one
 ///   compare) and re-derived during the refill sweep, so it is *always
 ///   valid* — the lazy min-hint that lets the epoch executive bound a
-///   shard's next event time without touching bucket storage.
+///   shard's next event time without any scan.
 ///
 /// When `bottom` runs dry, `refill` advances `bot_end` to
 /// `top_min + width`, sweeps the qualifying events down in one pass and
@@ -414,7 +256,7 @@ const INIT_LADDER_WIDTH: u64 = 1 << 14;
 /// Refill sizes outside [`REFILL_LO`], [`REFILL_HI`] retune the width.
 const REFILL_LO: usize = 8;
 const REFILL_HI: usize = 64;
-/// Width bounds: 2^6 ps .. 2^40 ps (the calendar uses the same clamp).
+/// Width bounds: 2^6 ps .. 2^40 ps.
 const MIN_WIDTH: u64 = 1 << 6;
 const MAX_WIDTH: u64 = 1 << 40;
 /// Live-bottom length that triggers a spill back to the top tier.
@@ -597,640 +439,179 @@ impl LadderQueue {
     fn len(&self) -> usize {
         (self.bottom.len() - self.bot_head) + self.top.len()
     }
-
-    /// Move every pending pair out (order unspecified), leaving the
-    /// queue empty and ready to re-anchor on the next insert. Backend
-    /// migration support.
-    fn drain_entries(&mut self, out: &mut Vec<(EventKey, u32)>) {
-        out.extend(self.bottom.drain(self.bot_head..));
-        self.bottom.clear();
-        self.bot_head = 0;
-        out.append(&mut self.top);
-        self.top_min = None;
-    }
-}
-
-// ───────────────────────── calendar backend ────────────────────────────
-
-/// A Brown calendar queue over `(EventKey, u32)` handle pairs. Buckets
-/// are unsorted vectors; an event at time `t` lives in bucket
-/// `(t / width) % nbuckets`. Dequeue walks buckets from the cursor,
-/// taking the minimum-key event whose time falls inside the bucket's
-/// current "day"; after scanning a full year without a hit it falls back
-/// to a direct min search (events far beyond the calendar horizon).
-///
-/// The queue resizes (doubling/halving the bucket count and re-deriving
-/// the bucket width from the observed spread of pending events) when the
-/// population crosses 2×/0.5× the bucket count, which keeps the expected
-/// bucket occupancy — and therefore schedule/pop cost — O(1) for the
-/// banded distributions discrete-event fabrics produce.
-#[derive(Debug)]
-struct CalendarQueue {
-    buckets: Vec<Vec<(EventKey, u32)>>,
-    /// Picoseconds per bucket (power of two, so the hash is a shift).
-    width_shift: u32,
-    /// `buckets.len() - 1`; bucket count is a power of two.
-    mask: usize,
-    /// Bucket the dequeue cursor is standing on.
-    cursor: usize,
-    /// Start of the day the cursor bucket currently covers.
-    day_start: u64,
-    count: usize,
-    /// Memoised location `(bucket, index)` of the minimum-key event, or
-    /// `None` when unknown. A peek finds the minimum, a pop of the same
-    /// event reuses it; inserts keep it live (a smaller key simply takes
-    /// it over), so a peek/pop pair costs one bucket scan, not two.
-    min_hint: Option<(usize, usize)>,
-    /// Excess `find_min` scan work accumulated since the last width
-    /// (re-)derivation. Resizes re-derive the width from the observed
-    /// event spread, but a steady population never resizes — so a stale
-    /// width (all events aliased into a day or two) would persist
-    /// forever. Once the excess outweighs a few calendar years, the
-    /// width is re-derived in place.
-    waste: usize,
-    /// Spare bucket storage kept across resizes so steady-state churn
-    /// allocates nothing.
-    spare: Vec<Vec<(EventKey, u32)>>,
-}
-
-/// Initial bucket width: 2^12 ps ≈ 4 ns — the low edge of the wire
-/// serialisation band, so freshly built queues start near the adapted
-/// state for fabric workloads.
-const INIT_WIDTH_SHIFT: u32 = 12;
-const INIT_BUCKETS: usize = 16;
-
-impl CalendarQueue {
-    fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..INIT_BUCKETS).map(|_| Vec::new()).collect(),
-            width_shift: INIT_WIDTH_SHIFT,
-            mask: INIT_BUCKETS - 1,
-            cursor: 0,
-            day_start: 0,
-            count: 0,
-            min_hint: None,
-            waste: 0,
-            spare: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, at: SimTime) -> usize {
-        ((at.0 >> self.width_shift) as usize) & self.mask
-    }
-
-    /// Insert under `key`. Amortised O(1): a bucket index computation and
-    /// an append; the occupancy-triggered `resize` is the only non-hot
-    /// step and recycles bucket storage.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn insert(&mut self, key: EventKey, handle: u32) {
-        // An event earlier than the cursor's day (legal: ties with the
-        // current instant, or a sharded merge delivering work at the
-        // epoch floor) must rewind the cursor so dequeue sees it.
-        if key.at.0 < self.day_start {
-            self.day_start = (key.at.0 >> self.width_shift) << self.width_shift;
-            self.cursor = self.bucket_of(key.at);
-        }
-        let b = self.bucket_of(key.at);
-        self.buckets[b].push((key, handle));
-        // Bucket pushes never move existing entries, so a live hint stays
-        // valid; it only changes hands if the new key is smaller (keys
-        // are unique, so `<` suffices).
-        self.min_hint = match self.min_hint {
-            None if self.count == 0 => Some((b, self.buckets[b].len() - 1)),
-            Some((hb, hi)) if key < self.buckets[hb][hi].0 => Some((b, self.buckets[b].len() - 1)),
-            h => h,
-        };
-        self.count += 1;
-        if self.count > 2 * self.buckets.len() && self.buckets.len() < (1 << 20) {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// Locate the minimum-key event: walk day buckets from the cursor for
-    /// at most one year (each day's events can only live in its own
-    /// bucket, so the first day with an event holds the minimum), falling
-    /// back to a direct sweep for sparse far-future populations.
-    /// Returns the location plus the scan work spent finding it: dry
-    /// day-buckets walked and entries examined. A well-tuned calendar
-    /// answers in O(1) work; sustained excess is the staleness signal
-    /// `find_min_cached` feeds the width retune.
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn find_min(&self) -> (Option<(usize, usize)>, usize) {
-        if self.count == 0 {
-            return (None, 0);
-        }
-        let width = 1u64 << self.width_shift;
-        let nb = self.buckets.len();
-        let mut work = 0usize;
-        for step in 0..nb {
-            let b = (self.cursor + step) & self.mask;
-            let day_end = self
-                .day_start
-                .saturating_add((step as u64 + 1).saturating_mul(width));
-            let bucket = &self.buckets[b];
-            work += bucket.len().max(1);
-            let mut best: Option<usize> = None;
-            for (i, (k, _)) in bucket.iter().enumerate() {
-                if k.at.0 < day_end {
-                    best = match best {
-                        Some(j) if bucket[j].0 <= *k => Some(j),
-                        _ => Some(i),
-                    };
-                }
-            }
-            if let Some(i) = best {
-                return (Some((b, i)), work);
-            }
-        }
-        let mut out: Option<(usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, (k, _)) in bucket.iter().enumerate() {
-                let better = match out {
-                    Some((ob, oi)) => *k < self.buckets[ob][oi].0,
-                    None => true,
-                };
-                if better {
-                    out = Some((b, i));
-                }
-            }
-        }
-        debug_assert!(out.is_some(), "count > 0 but no event found");
-        (out, nb + self.count)
-    }
-
-    /// [`find_min`](Self::find_min) through the memo: reuse a live hint,
-    /// otherwise scan and remember the answer. When the accumulated dry
-    /// walking says the bucket width no longer matches the population's
-    /// spread, re-derive it in place (a same-size `resize`) and rescan —
-    /// rare by construction, since the retune resets the waste meter.
-    fn find_min_cached(&mut self) -> Option<(usize, usize)> {
-        if self.min_hint.is_none() {
-            let (hit, work) = self.find_min();
-            // Up to a few touches per scan is the healthy steady state;
-            // only the excess counts toward staleness, so a well-tuned
-            // calendar never accumulates any.
-            self.waste += work.saturating_sub(3);
-            self.min_hint = hit;
-            if self.waste > 8 * self.buckets.len() && self.count >= 2 {
-                self.resize(self.buckets.len());
-                self.min_hint = self.find_min().0;
-            }
-        }
-        self.min_hint
-    }
-
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        let (b, i) = self.find_min_cached()?;
-        Some(self.commit_take(b, i))
-    }
-
-    /// Pop the minimum only if it fires strictly before `limit`; the
-    /// cursor stays put on a refusal and the hint stays live, so the next
-    /// call is O(1) (the gap is at most one epoch's lookahead band).
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pop_before(&mut self, limit: SimTime) -> Option<(EventKey, u32)> {
-        let (b, i) = self.find_min_cached()?;
-        if self.buckets[b][i].0.at >= limit {
-            return None;
-        }
-        Some(self.commit_take(b, i))
-    }
-
-    /// Advance the cursor to the popped key's day and remove it.
-    fn commit_take(&mut self, b: usize, i: usize) -> (EventKey, u32) {
-        let at = self.buckets[b][i].0.at;
-        self.day_start = (at.0 >> self.width_shift) << self.width_shift;
-        self.cursor = self.bucket_of(at);
-        self.take(b, i)
-    }
-
-    /// Remove entry `i` of bucket `b` (order inside a bucket is
-    /// irrelevant, so `swap_remove`), shrinking the calendar if the
-    /// population collapsed.
-    fn take(&mut self, b: usize, i: usize) -> (EventKey, u32) {
-        // `swap_remove` relocates the bucket's last entry, and the
-        // minimum is gone either way: drop the hint.
-        self.min_hint = None;
-        let out = self.buckets[b].swap_remove(i);
-        self.count -= 1;
-        if self.count * 4 < self.buckets.len() && self.buckets.len() > INIT_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        out
-    }
-
-    fn peek_key(&mut self) -> Option<EventKey> {
-        self.find_min_cached().map(|(b, i)| self.buckets[b][i].0)
-    }
-
-    fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Move every pending pair out (order unspecified), leaving the
-    /// calendar empty and re-anchored at time zero. Backend migration
-    /// support.
-    fn drain_entries(&mut self, out: &mut Vec<(EventKey, u32)>) {
-        for bucket in &mut self.buckets {
-            out.append(bucket);
-        }
-        self.count = 0;
-        self.min_hint = None;
-        self.waste = 0;
-        self.cursor = 0;
-        self.day_start = 0;
-    }
-
-    /// Rebuild with `nb` buckets (power of two) and a bucket width
-    /// re-derived from the observed event spread, re-hashing every
-    /// pending event. Amortised against the pushes/pops that triggered
-    /// it; bucket storage is recycled through `spare`.
-    #[cfg_attr(lint, tcc_alloc_ok)]
-    fn resize(&mut self, nb: usize) {
-        debug_assert!(nb.is_power_of_two());
-        self.min_hint = None; // every entry is about to be re-hashed
-        self.waste = 0; // the width below is fresh for this population
-
-        // Width adaptation: aim for the day span (nb * width) to cover
-        // the pending population's time spread, so events spread across
-        // the year instead of aliasing into the same day.
-        if self.count >= 2 {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            for (k, _) in self.buckets.iter().flatten() {
-                lo = lo.min(k.at.0);
-                hi = hi.max(k.at.0);
-            }
-            // `hi`/`lo` span the full u64 picosecond range (SimTime::MAX
-            // is a legal "never" key), so the spread and its doubling
-            // must saturate rather than wrap.
-            let spread = hi.saturating_sub(lo).max(1);
-            // width ≈ 2 * spread / count, clamped to [2^6, 2^40] ps.
-            let target = (spread.saturating_mul(2) / self.count as u64).max(1);
-            self.width_shift = (63 - target.leading_zeros()).clamp(6, 40);
-        }
-        let mut old = std::mem::take(&mut self.buckets);
-        self.buckets = (0..nb)
-            .map(|_| self.spare.pop().unwrap_or_default())
-            .collect();
-        self.mask = nb - 1;
-        let mut min_at: Option<u64> = None;
-        for bucket in &old {
-            for (k, _) in bucket {
-                min_at = Some(min_at.map_or(k.at.0, |m| m.min(k.at.0)));
-            }
-        }
-        for mut bucket in old.drain(..) {
-            for (k, h) in bucket.drain(..) {
-                let b = self.bucket_of(k.at);
-                self.buckets[b].push((k, h));
-            }
-            self.spare.push(bucket);
-        }
-        let floor = min_at.unwrap_or(self.day_start);
-        self.day_start = (floor >> self.width_shift) << self.width_shift;
-        self.cursor = ((floor >> self.width_shift) as usize) & self.mask;
-    }
-}
-
-// ─────────────────────────── auto backend ──────────────────────────────
-
-/// Migrate ladder → calendar once the population has sat above this for
-/// a full streak. Set just below the band where the ladder's
-/// O(population) refill sweep starts losing to the calendar in the hold
-/// model (see `simspeed --hold`).
-const AUTO_UP_LEN: usize = 64;
-/// Migrate calendar → ladder once the population collapses below this
-/// for a full streak — the band where the ladder's sorted bottom wins.
-const AUTO_DOWN_LEN: usize = 24;
-/// Consecutive inserts the population must hold beyond a threshold
-/// before migrating: migration re-inserts every pending event, so the
-/// streak keeps that O(n) cost amortised and bursts from thrashing.
-const AUTO_STREAK: u32 = 256;
-
-/// The population-adaptive backend: a ladder while small, a calendar
-/// while large. Every backend pops in identical (total) key order, so
-/// which structure holds the events at any instant is unobservable in
-/// results — migration is purely a constant-factor decision, driven by
-/// the measured hold-model crossover.
-#[derive(Debug)]
-struct AutoQueue {
-    inner: AutoInner,
-    /// Consecutive inserts spent beyond the active migration threshold.
-    streak: u32,
-    /// Reusable migration buffer, so steady-state churn (even with
-    /// occasional migrations) stops allocating once warm.
-    scratch: Vec<(EventKey, u32)>,
-}
-
-#[derive(Debug)]
-enum AutoInner {
-    Ladder(LadderQueue),
-    Calendar(CalendarQueue),
-}
-
-impl AutoQueue {
-    fn new() -> Self {
-        AutoQueue {
-            inner: AutoInner::Ladder(LadderQueue::new()),
-            streak: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    #[cfg_attr(lint, tcc_no_panic)]
-    fn insert(&mut self, key: EventKey, handle: u32) {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => {
-                q.insert(key, handle);
-                if q.len() > AUTO_UP_LEN {
-                    self.streak += 1;
-                    if self.streak >= AUTO_STREAK {
-                        self.migrate();
-                    }
-                } else {
-                    self.streak = 0;
-                }
-            }
-            AutoInner::Calendar(q) => {
-                q.insert(key, handle);
-                if q.len() < AUTO_DOWN_LEN {
-                    self.streak += 1;
-                    if self.streak >= AUTO_STREAK {
-                        self.migrate();
-                    }
-                } else {
-                    self.streak = 0;
-                }
-            }
-        }
-    }
-
-    /// Rebuild the other structure from the pending population. The
-    /// calendar bulk-build passes through its occupancy resizes, so it
-    /// arrives with a width already derived from the real spread.
-    ///
-    /// Reviewed cold-path allocation: a migration happens at most once
-    /// per [`AUTO_STREAK`] inserts and recycles `scratch`, so its cost
-    /// (and its allocations) amortise to nothing over the inserts that
-    /// earned it.
-    #[cfg_attr(lint, tcc_alloc_ok)]
-    fn migrate(&mut self) {
-        self.streak = 0;
-        match &mut self.inner {
-            AutoInner::Ladder(q) => {
-                q.drain_entries(&mut self.scratch);
-                let mut c = CalendarQueue::new();
-                for &(k, h) in &self.scratch {
-                    c.insert(k, h);
-                }
-                self.inner = AutoInner::Calendar(c);
-            }
-            AutoInner::Calendar(q) => {
-                q.drain_entries(&mut self.scratch);
-                let mut l = LadderQueue::new();
-                for &(k, h) in &self.scratch {
-                    l.insert(k, h);
-                }
-                self.inner = AutoInner::Ladder(l);
-            }
-        }
-        self.scratch.clear();
-    }
-
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => q.pop(),
-            AutoInner::Calendar(q) => q.pop(),
-        }
-    }
-
-    #[cfg_attr(lint, tcc_no_alloc, tcc_no_panic)]
-    fn pop_before(&mut self, limit: SimTime) -> Option<(EventKey, u32)> {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => q.pop_before(limit),
-            AutoInner::Calendar(q) => q.pop_before(limit),
-        }
-    }
-
-    fn peek_key(&mut self) -> Option<EventKey> {
-        match &mut self.inner {
-            AutoInner::Ladder(q) => q.peek_key(),
-            AutoInner::Calendar(q) => q.peek_key(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.inner {
-            AutoInner::Ladder(q) => q.len(),
-            AutoInner::Calendar(q) => q.len(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn orders_by_time() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(30), "c");
-            q.schedule_at(SimTime(10), "a");
-            q.schedule_at(SimTime(20), "b");
-            assert_eq!(q.peek_time(), Some(SimTime(10)), "{backend:?}");
-            assert_eq!(q.pop(), Some((SimTime(10), "a")));
-            assert_eq!(q.pop(), Some((SimTime(20), "b")));
-            assert_eq!(q.pop(), Some((SimTime(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(30), "c");
+        q.schedule_at(SimTime(10), "a");
+        q.schedule_at(SimTime(20), "b");
+        assert_eq!(q.peek_time(), Some(SimTime(10)));
+        assert_eq!(q.pop(), Some((SimTime(10), "a")));
+        assert_eq!(q.pop(), Some((SimTime(20), "b")));
+        assert_eq!(q.pop(), Some((SimTime(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn fifo_within_same_instant() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.schedule_at(SimTime(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((SimTime(5), i)), "{backend:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_in_adds_to_now() {
         let mut q = EventQueue::new();
-        q.schedule_in(SimTime(1_000), Duration::from_picos(500), ());
-        assert_eq!(q.pop(), Some((SimTime(1_500), ())));
+        for i in 0..100 {
+            q.schedule_at(SimTime(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((SimTime(5), i)));
+        }
     }
 
     #[test]
     fn keyed_order_is_time_src_seq() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            let k = |at, src, seq| EventKey {
-                at: SimTime(at),
-                src,
-                seq,
-            };
-            q.schedule_keyed(k(50, 1, 0), "b");
-            q.schedule_keyed(k(50, 0, 7), "a");
-            q.schedule_keyed(k(50, 1, 1), "c");
-            q.schedule_keyed(k(40, 9, 9), "first");
-            assert_eq!(q.pop_keyed().unwrap().1, "first", "{backend:?}");
-            assert_eq!(q.pop_keyed().unwrap().1, "a");
-            assert_eq!(q.pop_keyed().unwrap().1, "b");
-            assert_eq!(q.pop_keyed().unwrap().1, "c");
-        }
+        let mut q = EventQueue::new();
+        let k = |at, src, seq| EventKey {
+            at: SimTime(at),
+            src,
+            seq,
+        };
+        q.schedule_keyed(k(50, 1, 0), "b");
+        q.schedule_keyed(k(50, 0, 7), "a");
+        q.schedule_keyed(k(50, 1, 1), "c");
+        q.schedule_keyed(k(40, 9, 9), "first");
+        assert_eq!(q.pop_keyed().unwrap().1, "first");
+        assert_eq!(q.pop_keyed().unwrap().1, "a");
+        assert_eq!(q.pop_keyed().unwrap().1, "b");
+        assert_eq!(q.pop_keyed().unwrap().1, "c");
     }
 
     #[test]
-    fn near_max_keys_survive_resize_churn() {
-        // The width-adaptation in `CalendarQueue::resize` measures the
-        // key spread; with "never"-adjacent keys (SimTime::MAX) in the
-        // population the spread spans nearly the whole u64 range and the
-        // old `2 * spread` doubling wrapped. The ladder's window
-        // arithmetic must saturate the same way. Mixing near-zero and
-        // near-MAX keys through enough inserts to force restructuring
-        // must still drain in exact order.
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..64u64 {
-                q.schedule_at(SimTime(i), i);
-                q.schedule_at(SimTime(u64::MAX - i), u64::MAX - i);
-            }
-            let mut prev = None;
-            let mut n = 0;
-            while let Some((at, v)) = q.pop() {
-                assert_eq!(at.picos(), v, "{backend:?}");
-                if let Some(p) = prev {
-                    assert!(at.picos() > p, "{backend:?}: {p} then {}", at.picos());
-                }
-                prev = Some(at.picos());
-                n += 1;
-            }
-            assert_eq!(n, 128, "{backend:?}");
+    fn near_max_keys_survive_window_arithmetic() {
+        // "Never"-adjacent keys (SimTime::MAX) put the window bounds next
+        // to the top of the u64 range: `bot_end = at + width` must
+        // saturate rather than wrap. Mixing near-zero and near-MAX keys
+        // through enough inserts to force spills and refills must still
+        // drain in exact order.
+        let mut q = EventQueue::new();
+        for i in 0..64u64 {
+            q.schedule_at(SimTime(i), i);
+            q.schedule_at(SimTime(u64::MAX - i), u64::MAX - i);
         }
+        let mut prev = None;
+        let mut n = 0;
+        while let Some((at, v)) = q.pop() {
+            assert_eq!(at.picos(), v);
+            if let Some(p) = prev {
+                assert!(at.picos() > p, "{p} then {}", at.picos());
+            }
+            prev = Some(at.picos());
+            n += 1;
+        }
+        assert_eq!(n, 128);
     }
 
     #[test]
     fn arena_slot_reuse_keeps_storage_bounded() {
         // Payload slots recycle through the free list: pushing and fully
         // draining 64 events per round must never grow the arena past the
-        // high-water population, on any backend.
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for round in 0..10u64 {
-                for i in 0..64u64 {
-                    q.schedule_at(SimTime(round * 100 + i), i);
-                }
-                while q.pop().is_some() {}
+        // high-water population.
+        let mut q = EventQueue::new();
+        for round in 0..10u64 {
+            for i in 0..64u64 {
+                q.schedule_at(SimTime(round * 100 + i), i);
             }
-            assert!(
-                q.arena.slots.len() <= 64,
-                "{backend:?}: arena grew to {}",
-                q.arena.slots.len()
-            );
-            assert_eq!(q.scheduled_total(), 640, "{backend:?}");
+            while q.pop().is_some() {}
         }
+        assert!(
+            q.arena.slots.len() <= 64,
+            "arena grew to {}",
+            q.arena.slots.len()
+        );
+        assert_eq!(q.scheduled_total(), 640);
     }
 
     #[test]
     fn interleaved_pop_and_schedule() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(1), 1u32);
-            q.schedule_at(SimTime(3), 3);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t, e), (SimTime(1), 1), "{backend:?}");
-            q.schedule_at(SimTime(2), 2);
-            assert_eq!(q.pop(), Some((SimTime(2), 2)));
-            assert_eq!(q.pop(), Some((SimTime(3), 3)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(1), 1u32);
+        q.schedule_at(SimTime(3), 3);
+        assert_eq!(q.pop(), Some((SimTime(1), 1)));
+        q.schedule_at(SimTime(2), 2);
+        assert_eq!(q.pop(), Some((SimTime(2), 2)));
+        assert_eq!(q.pop(), Some((SimTime(3), 3)));
     }
 
     #[test]
-    fn survives_resize_churn() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            // Push enough to force several restructurings, then drain,
-            // with times spanning ns to ms so widths adapt.
-            let mut expect = Vec::new();
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for i in 0..5_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let at = x % 1_000_000_000; // 0..1 ms
-                q.schedule_at(SimTime(at), i);
-                expect.push((at, i));
-            }
-            expect.sort();
-            let mut got = Vec::new();
-            while let Some((t, e)) = q.pop() {
-                got.push((t.0, e));
-            }
-            assert_eq!(got, expect, "{backend:?}");
+    fn survives_refill_churn() {
+        // Times spanning ns to ms so the refill width adapts both ways.
+        let mut q = EventQueue::new();
+        let mut expect = Vec::new();
+        let mut x = 0x9E3779B97F4A7C15u64;
+        for i in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let at = x % 1_000_000_000; // 0..1 ms
+            q.schedule_at(SimTime(at), i);
+            expect.push((at, i));
         }
+        expect.sort();
+        let mut got = Vec::new();
+        while let Some((t, e)) = q.pop() {
+            got.push((t.0, e));
+        }
+        assert_eq!(got, expect);
     }
 
     #[test]
     fn handles_far_future_and_past_rewind() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(1_000_000_000_000), "far"); // 1 s out
-            q.schedule_at(SimTime(10), "near");
-            assert_eq!(q.pop(), Some((SimTime(10), "near")), "{backend:?}");
-            // After the cursor advanced, a push behind it must still
-            // dequeue in order.
-            q.schedule_at(SimTime(20), "behind");
-            assert_eq!(q.pop(), Some((SimTime(20), "behind")));
-            assert_eq!(q.pop(), Some((SimTime(1_000_000_000_000), "far")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(1_000_000_000_000), "far"); // 1 s out
+        q.schedule_at(SimTime(10), "near");
+        assert_eq!(q.pop(), Some((SimTime(10), "near")));
+        // After the head advanced, a push behind the far event must
+        // still dequeue in order.
+        q.schedule_at(SimTime(20), "behind");
+        assert_eq!(q.pop(), Some((SimTime(20), "behind")));
+        assert_eq!(q.pop(), Some((SimTime(1_000_000_000_000), "far")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn pop_before_respects_the_horizon() {
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(10), "a");
-            q.schedule_at(SimTime(20), "b");
-            q.schedule_at(SimTime(30), "c");
-            assert_eq!(q.pop_keyed_before(SimTime(10)), None, "{backend:?}");
-            assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "a");
-            assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "b");
-            assert_eq!(q.pop_keyed_before(SimTime(21)), None);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_keyed_before(SimTime::MAX).unwrap().1, "c");
-            assert_eq!(q.pop_keyed_before(SimTime::MAX), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(10), "a");
+        q.schedule_at(SimTime(20), "b");
+        q.schedule_at(SimTime(30), "c");
+        assert_eq!(q.pop_keyed_before(SimTime(10)), None);
+        assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "a");
+        assert_eq!(q.pop_keyed_before(SimTime(21)).unwrap().1, "b");
+        assert_eq!(q.pop_keyed_before(SimTime(21)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_keyed_before(SimTime::MAX).unwrap().1, "c");
+        assert_eq!(q.pop_keyed_before(SimTime::MAX), None);
     }
 
     #[test]
     fn pop_before_fast_refusal_leaves_top_untouched() {
         // The ladder's whole point: a horizon below the pending minimum
         // refuses via the hint without sweeping events into the bottom.
-        let mut q = EventQueue::with_backend(QueueBackend::Ladder);
+        let mut q = EventQueue::new();
         // "near" seeds the bottom window; "far" lies past it → top tier.
         q.schedule_at(SimTime(5), "near");
         q.schedule_at(SimTime(1_000_000), "far");
         assert_eq!(q.pop().unwrap().1, "near");
         assert_eq!(q.pop_keyed_before(SimTime(100)), None);
-        match &q.inner {
-            Inner::Ladder(l) => {
-                assert!(
-                    l.bottom.is_empty(),
-                    "refusal must not sweep the top down: {l:?}"
-                );
-                assert_eq!(l.top_min.map(|k| k.at), Some(SimTime(1_000_000)));
-            }
-            _ => unreachable!(),
-        }
+        let l = &q.ladder;
+        assert!(
+            l.bottom.is_empty(),
+            "refusal must not sweep the top down: {l:?}"
+        );
+        assert_eq!(l.top_min.map(|k| k.at), Some(SimTime(1_000_000)));
         assert_eq!(q.pop_keyed_before(SimTime::MAX).unwrap().1, "far");
     }
 
@@ -1239,22 +620,18 @@ mod tests {
         // A population dense enough to sit entirely inside one bottom
         // window must spill: the live region stays bounded (inserts keep
         // their short-shift cost) and the drain order is still exact.
-        let mut q = EventQueue::with_backend(QueueBackend::Ladder);
+        let mut q = EventQueue::new();
         for i in 0..512u64 {
             // All within the initial 2^14 ps window, distinct times.
             q.schedule_at(SimTime(1 + (i * 7) % 8000), i);
         }
-        match &q.inner {
-            Inner::Ladder(l) => {
-                assert!(
-                    l.bottom.len() - l.bot_head <= SPILL_LEN + 1,
-                    "live bottom must stay capped: {} entries",
-                    l.bottom.len() - l.bot_head
-                );
-                assert!(!l.top.is_empty(), "the spill feeds the top tier");
-            }
-            _ => unreachable!(),
-        }
+        let l = &q.ladder;
+        assert!(
+            l.bottom.len() - l.bot_head <= SPILL_LEN + 1,
+            "live bottom must stay capped: {} entries",
+            l.bottom.len() - l.bot_head
+        );
+        assert!(!l.top.is_empty(), "the spill feeds the top tier");
         let mut prev = None;
         for _ in 0..512 {
             let (t, _) = q.pop().expect("512 scheduled");
@@ -1267,127 +644,174 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_migrates_both_ways_and_keeps_order() {
-        // Drive the population through both migration thresholds with a
-        // hold-model loop and check the structure actually switched each
-        // time, with pop order staying exact throughout (the reference
-        // heap runs the identical sequence alongside).
-        let mut q: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Auto);
-        let mut r: EventQueue<u64> = EventQueue::binary_heap();
-        assert_eq!(q.backend(), QueueBackend::Auto);
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % 4096) + 1
-        };
-        for i in 0..200u64 {
-            let d = step();
-            q.schedule_at(SimTime(d), i);
-            r.schedule_at(SimTime(d), i);
-        }
-        // Population 200 > AUTO_UP_LEN: a streak of holds migrates up.
-        for _ in 0..2 * AUTO_STREAK {
-            let (t, v) = q.pop().expect("steady population");
-            assert_eq!(r.pop(), Some((t, v)));
-            let d = step();
-            q.schedule_at(SimTime(t.0 + d), v);
-            r.schedule_at(SimTime(t.0 + d), v);
-        }
-        match &q.inner {
-            Inner::Auto(a) => {
-                assert!(
-                    matches!(a.inner, AutoInner::Calendar(_)),
-                    "sustained population 200 must migrate to the calendar"
-                );
-            }
-            _ => unreachable!(),
-        }
-        // Drain below AUTO_DOWN_LEN, then hold there: migrates back.
-        while q.len() > 8 {
-            let (t, v) = q.pop().expect("still populated");
-            assert_eq!(r.pop(), Some((t, v)));
-        }
-        for _ in 0..2 * AUTO_STREAK {
-            let (t, v) = q.pop().expect("steady population");
-            assert_eq!(r.pop(), Some((t, v)));
-            let d = step();
-            q.schedule_at(SimTime(t.0 + d), v);
-            r.schedule_at(SimTime(t.0 + d), v);
-        }
-        match &q.inner {
-            Inner::Auto(a) => {
-                assert!(
-                    matches!(a.inner, AutoInner::Ladder(_)),
-                    "collapsed population must migrate back to the ladder"
-                );
-            }
-            _ => unreachable!(),
-        }
-        while let Some((t, v)) = q.pop() {
-            assert_eq!(r.pop(), Some((t, v)));
-        }
-        assert_eq!(r.pop(), None);
+    fn peek_hint_survives_inserts() {
+        // A peek reads the minimum, then inserts land both behind it
+        // (take the hint over) and ahead of it (leave it alone) before
+        // the pops check the order.
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(500), "mid");
+        assert_eq!(q.peek_time(), Some(SimTime(500)));
+        q.schedule_at(SimTime(900), "late"); // keeps the hint
+        q.schedule_at(SimTime(100), "early"); // takes the hint over
+        assert_eq!(q.peek_time(), Some(SimTime(100)));
+        q.schedule_at(SimTime(100), "early2"); // same instant, later seq
+        assert_eq!(q.pop(), Some((SimTime(100), "early")));
+        assert_eq!(q.pop(), Some((SimTime(100), "early2")));
+        assert_eq!(q.peek_time(), Some(SimTime(500)));
+        assert_eq!(q.pop(), Some((SimTime(500), "mid")));
+        assert_eq!(q.pop(), Some((SimTime(900), "late")));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
+    /// The ordering oracle: a plain binary heap over the same keys.
+    #[derive(Default)]
+    struct HeapOracle(BinaryHeap<Reverse<(EventKey, u64)>>);
+
+    impl HeapOracle {
+        fn push(&mut self, key: EventKey, v: u64) {
+            self.0.push(Reverse((key, v)));
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.0.peek().map(|Reverse((k, _))| k.at)
+        }
+
+        fn pop_before(&mut self, limit: SimTime) -> Option<(EventKey, u64)> {
+            if self.peek_time()? >= limit {
+                return None;
+            }
+            self.0.pop().map(|Reverse(kv)| kv)
+        }
+
+        fn pop(&mut self) -> Option<(EventKey, u64)> {
+            self.0.pop().map(|Reverse(kv)| kv)
+        }
+    }
+
+    /// Drive the ladder and the heap oracle through the engine's
+    /// operation mix and require identical answers at every step:
+    ///
+    /// * `schedule_keyed` from several `src` values, each with its own
+    ///   sequence counter, never below the last popped time (the
+    ///   executive's contract) — same-instant, near, far and
+    ///   near-`SimTime::MAX` delays;
+    /// * dense bursts inside one window, several sources per instant,
+    ///   enough to force the `SPILL_LEN` spill (asserted to have
+    ///   happened) next to equal times;
+    /// * `pop_keyed_before` at advancing horizons `min + L`, draining
+    ///   each epoch to its refusal, plus deliberate refusals at and
+    ///   below the pending minimum;
+    /// * `peek_time` and `len` after every operation.
     #[test]
-    fn backends_agree_on_random_workload() {
-        // Differential test: identical operation sequences produce
-        // identical pop sequences on all backends.
-        let mut queues: Vec<EventQueue<u64>> = QueueBackend::ALL
-            .iter()
-            .map(|&b| EventQueue::with_backend(b))
-            .collect();
-        for q in &mut queues {
-            let mut x = 0x2545F4914F6CDD1Du64;
-            for i in 0..400u64 {
+    fn ladder_matches_heap_oracle_on_engine_op_mix() {
+        const NEVER: u64 = u64::MAX - 2_000;
+        for seed in [0x2545F4914F6CDD1Du64, 0x9E3779B97F4A7C15, 7, 0xDEADBEEF] {
+            let mut x = seed;
+            let mut rand = move || {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                let at = x % 50_000;
-                q.schedule_at(SimTime(at), i);
+                x
+            };
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut o = HeapOracle::default();
+            let mut seqs = [0u64; 4];
+            let mut now = 0u64;
+            let mut spilled = false;
+            let mut payload = 0u64;
+            let mut schedule =
+                |q: &mut EventQueue<u64>, o: &mut HeapOracle, src: usize, at: u64| {
+                    let key = EventKey {
+                        at: SimTime(at),
+                        src: src as u32,
+                        seq: seqs[src],
+                    };
+                    seqs[src] += 1;
+                    payload += 1;
+                    q.schedule_keyed(key, payload);
+                    o.push(key, payload);
+                };
+            let check = |q: &EventQueue<u64>, o: &HeapOracle| {
+                assert_eq!(q.peek_time(), o.peek_time(), "seed {seed:#x}: peek");
+                assert_eq!(q.len(), o.0.len(), "seed {seed:#x}: len");
+            };
+            for _ in 0..4_000 {
+                match rand() % 20 {
+                    // Single schedule from a random source.
+                    0..=8 => {
+                        let src = (rand() % 4) as usize;
+                        // Delays land on a 64 ps grid, as hop and drain
+                        // latencies do, so distinct sources often collide
+                        // on one instant.
+                        let hop = |k: u64| (now / 64 + 1 + k) * 64;
+                        let at = match rand() % 16 {
+                            0 => now,                       // same instant
+                            1 => NEVER + rand() % 1_000,    // "never"
+                            2 | 3 => hop(rand() % 150_000), // far
+                            _ => hop(rand() % 300),         // next hops
+                        };
+                        schedule(&mut q, &mut o, src, at);
+                    }
+                    // Dense burst: > SPILL_LEN events in one window, three
+                    // sources per instant, so spills meet equal times.
+                    9 => {
+                        let base = now.saturating_add(rand() % 64);
+                        for i in 0..(SPILL_LEN as u64 + 40) {
+                            // Only a spill pulls the bottom window in.
+                            let (live, end) = (!q.is_empty(), q.ladder.bot_end);
+                            let src = (rand() % 4) as usize;
+                            schedule(&mut q, &mut o, src, base + (i / 3) * 8);
+                            spilled |= live && q.ladder.bot_end < end;
+                        }
+                    }
+                    // Deliberate refusals at and below the minimum.
+                    10 | 11 => {
+                        if let Some(min) = o.peek_time() {
+                            let below =
+                                SimTime(min.picos() - rand() % min.picos().saturating_add(1));
+                            for limit in [min, below] {
+                                assert_eq!(q.pop_keyed_before(limit), None, "seed {seed:#x}");
+                                assert_eq!(o.pop_before(limit), None);
+                            }
+                        }
+                    }
+                    // One epoch: drain everything below min + L. The
+                    // "never" band is left to the final drain, so the
+                    // clock stays finite and keeps feeding live keys.
+                    _ => {
+                        let Some(min) = o.peek_time() else { continue };
+                        if min.picos() >= NEVER {
+                            assert_eq!(q.pop_keyed_before(SimTime(NEVER)), None);
+                            continue;
+                        }
+                        let horizon = SimTime(min.picos().saturating_add(1 + rand() % 30_000));
+                        loop {
+                            let got = q.pop_keyed_before(horizon);
+                            assert_eq!(got, o.pop_before(horizon), "seed {seed:#x}");
+                            let Some((k, _)) = got else { break };
+                            now = k.at.picos();
+                            check(&q, &o);
+                        }
+                    }
+                }
+                check(&q, &o);
             }
-        }
-        loop {
-            let (rest, first) = queues.split_at_mut(1);
-            let mut done = false;
-            let t0 = rest[0].peek_time();
-            let a = rest[0].pop_keyed();
-            for q in first {
-                assert_eq!(q.peek_time(), t0, "{:?}", q.backend());
-                let b = q.pop_keyed();
-                assert_eq!(a, b, "{:?}", q.backend());
+            assert!(spilled, "seed {seed:#x}: no burst exercised the spill");
+            // Drain through the horizon primitive first: the never band
+            // pops with its window bound saturated at the top of u64.
+            loop {
+                let got = q.pop_keyed_before(SimTime::MAX);
+                assert_eq!(got, o.pop_before(SimTime::MAX), "seed {seed:#x}: drain");
+                if got.is_none() {
+                    break;
+                }
+                check(&q, &o);
             }
-            if a.is_none() {
-                done = true;
+            while let Some(got) = q.pop_keyed() {
+                assert_eq!(Some(got), o.pop(), "seed {seed:#x}: final drain");
             }
-            if done {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn peek_memo_survives_inserts() {
-        // Exercises the min-hints: a peek locates the minimum, then
-        // inserts land both behind it (take the hint over) and ahead of
-        // it (leave it alone) before the pops check the order.
-        for backend in QueueBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_at(SimTime(500), "mid");
-            assert_eq!(q.peek_time(), Some(SimTime(500)), "{backend:?}");
-            q.schedule_at(SimTime(900), "late"); // keeps the hint
-            q.schedule_at(SimTime(100), "early"); // takes the hint over
-            assert_eq!(q.peek_time(), Some(SimTime(100)));
-            q.schedule_at(SimTime(100), "early2"); // same instant, later seq
-            assert_eq!(q.pop(), Some((SimTime(100), "early")));
-            assert_eq!(q.pop(), Some((SimTime(100), "early2")));
-            assert_eq!(q.peek_time(), Some(SimTime(500)));
-            assert_eq!(q.pop(), Some((SimTime(500), "mid")));
-            assert_eq!(q.pop(), Some((SimTime(900), "late")));
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.peek_time(), None);
+            assert_eq!(o.pop(), None);
         }
     }
 }

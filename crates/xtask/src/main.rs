@@ -37,17 +37,21 @@ use std::process::{Command, ExitCode};
 /// workspace carries (21 when the old HOT_FUNCTIONS table was migrated
 /// to in-place attributes; 33 after the mailbox/arena/ladder hot paths
 /// were annotated; 40 after the flat fast lane and the auto queue
-/// backend landed). The count may only grow: a drop means someone
-/// deleted an annotation rather than migrating it.
-const NO_ALLOC_BASELINE: usize = 40;
+/// backend landed; 36 once the ladder became the only event queue and
+/// the calendar backend's three annotated functions and the auto
+/// backend's annotated `pop_before` were deleted with their code). The
+/// count may only grow except by deleting annotated functions outright:
+/// a drop means someone deleted an annotation rather than migrating it.
+const NO_ALLOC_BASELINE: usize = 36;
 
 /// The number of `tcc_no_panic` annotations the workspace carries (31
 /// when the panic-freedom pass landed: the no-alloc hot paths that are
 /// also panic-checked plus the executive drivers; 39 after the
 /// flat-lane dispatch, the sequential executive and the auto backend
-/// were annotated). Guarded like [`NO_ALLOC_BASELINE`]: the count may
-/// only grow.
-const NO_PANIC_BASELINE: usize = 39;
+/// were annotated; 34 after the calendar and auto backends were deleted:
+/// the four no-alloc functions above plus the auto backend's `insert`).
+/// Guarded like [`NO_ALLOC_BASELINE`].
+const NO_PANIC_BASELINE: usize = 34;
 
 /// The epoch-phase pass must keep ranking at least this many in-scope
 /// engine functions (21 when the pass landed). A collapse below the
